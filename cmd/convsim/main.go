@@ -6,7 +6,7 @@
 //
 //	convsim [-protocol dbf] [-degree 4] [-rows 7] [-cols 7] [-trials 10]
 //	        [-topo ba:n=10000,m=2] [-senderstart 390s] [-failat 400s]
-//	        [-end 800s] [-seed 1] [-flows 1] [-rate 20] [-shards 8]
+//	        [-end 800s] [-seed 1] [-flows 1] [-rate 20]
 //	        [-scenario "fail link 3-7 @400s; loss link 1-2 p=0.01 @410s"]
 //	        [-timeline out.ndjson] [-cpuprofile FILE] [-memprofile FILE]
 //

@@ -11,7 +11,7 @@
 //	sweep [-spec spec.json] [-protocols rip,dbf,bgp,bgp3] [-degrees 3-10]
 //	      [-topos "ba:n=10000,m=2;fattree:k=8"] [-trials N] [-seed S]
 //	      [-scenarios "fail link 3-7 @400s|churn links rate=0.1/s @450s..600s"]
-//	      [-shards K] [-metrics] [-out DIR] [-cache DIR] [-workers N]
+//	      [-metrics] [-out DIR] [-cache DIR] [-workers N]
 //	      [-force] [-plan] [-q] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Outputs, written atomically under -out: summary.{txt,csv} (the per-cell
@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string) error {
 		seed          = fs.Int64("seed", 1, "base random seed")
 		flowsFlag     = fs.String("flows", "", "flow counts as an extra axis, e.g. 1,100,10000 (default: the base config's single flow)")
 		mode          = fs.String("mode", "", "background-flow traffic engine for every cell: packet, fluid, hybrid")
-		shards        = fs.Int("shards", 0, "split every cell's trials over this many parallel shard simulators (0/1 = sequential)")
 		outDir        = fs.String("out", filepath.Join("results", "sweep"), "output directory (summary, manifest, journal)")
 		cacheDir      = fs.String("cache", "", "result cache directory (default OUT/cache; \"off\" disables)")
 		workers       = fs.Int("workers", 0, "concurrent cells (default GOMAXPROCS)")
@@ -146,9 +145,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *mode != "" {
 		spec.Mode = *mode
-	}
-	if *shards > 0 {
-		spec.Shards = *shards
 	}
 	if *metrics {
 		spec.Metrics = true

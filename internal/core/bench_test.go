@@ -1,37 +1,27 @@
 package core
 
 import (
-	"fmt"
 	"runtime/debug"
 	"testing"
 )
 
 // BenchmarkConvergence measures one full 10k-node BA RIP convergence
-// trial end to end — build, warm-up, failure, measurement — at each shard
-// count. shards-1 is the sequential engine (the sharded path is never
-// entered); the others split the topology over that many simulators with
-// conservative windows. On a multi-core host the sharded variants show
-// the parallel speedup; on one core they show the barrier overhead.
+// trial end to end — build, warm-up, failure, measurement.
 // Run with -bench Convergence -benchtime 1x; each iteration is a whole
 // trial, tens of seconds of virtual time.
 func BenchmarkConvergence(b *testing.B) {
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("rip-10k-shards%d", shards), func(b *testing.B) {
-			cfg := scaleSmokeConfig()
-			if shards > 1 {
-				cfg.Shards = shards
+	b.Run("rip-10k", func(b *testing.B) {
+		cfg := scaleSmokeConfig()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := Run(cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.WarmedUpTrials != 1 {
-					b.Fatalf("trial did not warm up: %d/1", res.WarmedUpTrials)
-				}
+			if res.WarmedUpTrials != 1 {
+				b.Fatalf("trial did not warm up: %d/1", res.WarmedUpTrials)
 			}
-		})
-	}
+		}
+	})
 }

@@ -49,11 +49,6 @@ func (c *Config) CanonicalString() (string, error) {
 // identity for an experiment is exactly its node count and edge set.
 var graphType = reflect.TypeOf((*topology.Graph)(nil))
 
-// configType identifies the top-level Config struct, whose Shards field is
-// excluded from the canonical form: sharding is an execution strategy with
-// bit-for-bit identical results, so cache keys must not depend on it.
-var configType = reflect.TypeOf(Config{})
-
 // writeCanonical appends v's canonical form to sb. It handles exactly the
 // kinds that appear in Config (and errors on anything else, so a future
 // field of an unsupported kind fails loudly instead of silently aliasing
@@ -116,9 +111,6 @@ func writeCanonical(sb *strings.Builder, v reflect.Value) error {
 			f := t.Field(i)
 			if f.PkgPath != "" {
 				return fmt.Errorf("unexported field %s.%s", t.Name(), f.Name)
-			}
-			if t == configType && f.Name == "Shards" {
-				continue
 			}
 			if wrote > 0 {
 				sb.WriteByte(' ')

@@ -34,8 +34,6 @@ type ExperimentFlags struct {
 	Seed     int64
 	// Mode is the background-flow traffic engine; empty means packet.
 	Mode string
-	// Shards is the number of parallel simulation shards; ≤1 is sequential.
-	Shards int
 	// Scenario is a disturbance script in the text grammar (SCENARIOS.md);
 	// empty keeps the default single-link failure schedule.
 	Scenario string
@@ -49,8 +47,6 @@ func (e *ExperimentFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&e.Seed, "seed", e.Seed, "base random seed")
 	fs.StringVar(&e.Mode, "mode", e.Mode,
 		"background-flow traffic engine: packet, fluid, hybrid (flow 0 is always packet-simulated)")
-	fs.IntVar(&e.Shards, "shards", e.Shards,
-		"parallel simulation shards per trial (conservative sync; ≤1 = sequential, results identical)")
 	fs.StringVar(&e.Scenario, "scenario", e.Scenario,
 		`disturbance script, e.g. "fail link 3-7 @400s; loss link 1-2 p=0.01 @410s" (see SCENARIOS.md)`)
 }
@@ -74,7 +70,6 @@ func (e *ExperimentFlags) Config() (Config, error) {
 		}
 		cfg.Mode = mode
 	}
-	cfg.Shards = e.Shards
 	if e.Scenario != "" {
 		cfg.Scenario = e.Scenario
 		// A script replaces the default failure schedule wholesale; clear

@@ -248,15 +248,6 @@ type Config struct {
 	// of the canonical config, so sweep cache keys differ between metered
 	// and unmetered runs.
 	Metrics bool
-	// Shards partitions the router topology into this many shards, each
-	// running its nodes' events on a private simulator goroutine under
-	// conservative lockstep windows (the link propagation delay is the
-	// lookahead). 0 or 1 selects the sequential engine. Trial results are
-	// bit-for-bit identical across shard counts — per-node and per-source
-	// random streams make the schedule shard-invariant — so Shards is an
-	// execution knob, not part of the experiment: it is excluded from the
-	// canonical config and thus from sweep cache keys.
-	Shards int
 	// Net holds the physical link parameters.
 	Net netsim.Config
 	// Vector parameterizes RIP and DBF.
@@ -399,8 +390,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: unknown traffic mode %d", int(c.Mode))
 	case c.GuardWindow < 0:
 		return fmt.Errorf("core: GuardWindow must not be negative")
-	case c.Shards < 0:
-		return fmt.Errorf("core: Shards must not be negative")
 	}
 	if c.Factory == nil {
 		if _, err := c.factory(); err != nil {

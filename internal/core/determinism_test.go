@@ -40,8 +40,7 @@ func goldenDampingConfig() Config {
 // protocol configuration. The values were regenerated when jitter and
 // traffic randomness moved from the shared simulator RNG to per-node and
 // per-source splitmix64 streams and trace recording became
-// instant-granular (the changes that make trial results
-// shard-count-invariant); any engine or forwarding-path change that shifts
+// instant-granular; any engine or forwarding-path change that shifts
 // event ordering, random-number consumption, or drop accounting shows up
 // here as a diff, not as a silent behaviour change.
 func TestGoldenTrialResults(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"routeconv/internal/sim"
 	"routeconv/internal/stats"
 	"routeconv/internal/topology"
-	"routeconv/internal/topology/partition"
 	"routeconv/internal/trace"
 )
 
@@ -129,13 +128,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		firstErr error
 	)
 	workers := runtime.GOMAXPROCS(0)
-	if cfg.Shards > 1 {
-		// Each sharded trial already keeps cfg.Shards goroutines busy;
-		// running GOMAXPROCS trials at once would oversubscribe the cores.
-		if workers = workers / cfg.Shards; workers < 1 {
-			workers = 1
-		}
-	}
 	if workers > cfg.Trials {
 		workers = cfg.Trials
 	}
@@ -326,12 +318,6 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	for _, f := range flows {
 		f.collector.SetNetwork(net)
 	}
-	if cfg.Shards > 1 {
-		// Partition before protocols attach: each protocol captures its
-		// node's (shard) simulator at construction.
-		part := partition.Partition(topology.NewCSR(g), cfg.Shards, seed)
-		net.EnableSharding(part.Assign, part.K)
-	}
 	for i := 0; i < net.Len(); i++ {
 		node := net.Node(netsim.NodeID(i))
 		node.AttachProtocol(factory(node))
@@ -373,20 +359,11 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	}
 	runner.install(cfg.effectiveScript())
 
-	if net.Sharded() {
-		net.RunSharded(cfg.End)
-	} else {
-		s.RunUntil(cfg.End)
-	}
+	s.RunUntil(cfg.End)
 	if flowSet != nil {
 		flowSet.Finish() // settle the fluid tail before reading stats
 	}
-	fired := s.Fired()
-	if net.Sharded() {
-		fired = net.FiredEvents() // control plus all shard simulators
-		net.FinishSharding()
-	}
-	met.Set(obs.EventsFired, fired)
+	met.Set(obs.EventsFired, s.Fired())
 	tl.Finish(cfg.FailAt)
 	for _, f := range flows {
 		f.collector.Flush() // commit the final instant's buffered records

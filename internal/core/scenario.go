@@ -15,12 +15,8 @@ import (
 // traffic, and loss streams sharing the simulator seed.
 const churnSalt = 0x636875726e657674 // "churnevt"
 
-// scenarioRunner schedules a trial's disturbance script on the root
-// simulator. Scenario events always run on the root simulator — in a
-// sharded run that means at window barriers, where the whole network state
-// is globally consistent — so every event kind is shard-safe by
-// construction; only per-packet loss draws happen inside windows, and those
-// use per-port streams (netsim.SetLinkLoss).
+// scenarioRunner schedules a trial's disturbance script on the trial's
+// simulator.
 type scenarioRunner struct {
 	cfg       *Config
 	s         *sim.Simulator
@@ -229,8 +225,7 @@ func (r *scenarioRunner) installFlap(ev scenario.Event) {
 // drawn uniformly from the currently-up candidates and repaired after an
 // exponential downtime of mean ev.MeanDown. All draws come from the churn
 // event's private stream (seeded by the simulator seed and the event's
-// script index), so the schedule is deterministic and — because churn runs
-// on the root simulator — identical across shard counts.
+// script index), so the schedule is deterministic.
 func (r *scenarioRunner) installChurn(ev scenario.Event, idx int) {
 	st := sim.NewStream(r.s.Seed()^churnSalt, uint64(idx))
 	candidates := ev.Links

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"routeconv/internal/netsim"
 	"routeconv/internal/scenario"
 	"routeconv/internal/topology"
 )
@@ -155,12 +154,12 @@ func TestScenarioLossConservation(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedChurn extends the sharding determinism contract to the
-// scenario engine's stochastic events: a continuous-churn script must
-// reproduce the sequential trial bit-for-bit under Shards ∈ {2, 4}, because
-// churn draws come from a private per-event stream and fire on the root
-// simulator (at window barriers in sharded mode).
-func TestScenarioShardedChurn(t *testing.T) {
+// TestScenarioChurnRepeatable pins the scenario engine's stochastic
+// events to their seed: a continuous-churn script run twice must produce
+// the same trial, drop vector and path-sample stream, because churn draws
+// come from a private per-event stream rather than the shared simulator
+// RNG.
+func TestScenarioChurnRepeatable(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoRIP, ProtoDBF} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
@@ -176,40 +175,18 @@ func TestScenarioShardedChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fmt.Sprintf("%+v", ref)
-			for _, shards := range []int{2, 4} {
-				cfg := config()
-				cfg.Shards = shards
-				tr, c, err := Trace(cfg, 0)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if got := fmt.Sprintf("%+v", tr); got != want {
-					t.Errorf("shards=%d churn trial differs from sequential:\n seq:    %s\n shards: %s",
-						shards, want, got)
-				}
-				// Same drop tolerance as TestShardedGoldenEquivalence: loop
-				// races may shift a drop by a few link delays.
-				if len(refC.Drops) != len(c.Drops) {
-					t.Errorf("shards=%d: drop vectors differ (%d vs %d records)",
-						shards, len(refC.Drops), len(c.Drops))
-				} else {
-					tol := 4 * netsim.DefaultConfig().LinkDelay
-					for i := range refC.Drops {
-						a, b := refC.Drops[i], c.Drops[i]
-						dt := a.At - b.At
-						if dt < 0 {
-							dt = -dt
-						}
-						if a.Where != b.Where || a.Reason != b.Reason || a.Control != b.Control || dt > tol {
-							t.Errorf("shards=%d: drop %d differs: seq %+v, sharded %+v", shards, i, a, b)
-							break
-						}
-					}
-				}
-				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
-					t.Errorf("shards=%d: path-sample streams differ", shards)
-				}
+			tr, c, err := Trace(config(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := fmt.Sprintf("%+v", ref), fmt.Sprintf("%+v", tr); got != want {
+				t.Errorf("churn trial not repeatable:\n first:  %s\n second: %s", want, got)
+			}
+			if !reflect.DeepEqual(refC.Drops, c.Drops) {
+				t.Errorf("drop vectors differ (%d vs %d records)", len(refC.Drops), len(c.Drops))
+			}
+			if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
+				t.Error("path-sample streams differ")
 			}
 		})
 	}

@@ -93,21 +93,10 @@ type Network struct {
 	// flows is the optional fluid/hybrid traffic engine (see fluid.go);
 	// nil when every flow is packet-simulated.
 	flows *FlowSet
-	// nodeDown maps a failed node to the links its failure took down, so
-	// RecoverNode restores exactly those (and only those) that no other
-	// failed node still holds down. Nil until the first FailNode.
-	nodeDown map[NodeID][]topology.Edge
-	// root is the sequential/coordinator execution context; it aliases
-	// the fields above, so non-sharded runs behave exactly as before.
-	root *exec
-	// Sharded-mode state (see shard.go); all nil/false in sequential runs.
-	shards       []*exec
-	assign       []int32
-	coord        *sim.Coordinator
-	windowActive bool
-	obsIdx       []int    // scratch for the observer replay k-way merge
-	obsSeq       []obsRef // scratch for the merged replay order (rewind + step)
-	drainIdx     []int    // scratch for the outbox drain k-way merge
+	// nextID is the packet ID sequence.
+	nextID uint64
+	// serCache memoizes serialization delay per packet size.
+	serCache []time.Duration
 }
 
 // New returns an empty network using the given engine and link parameters.
@@ -119,9 +108,7 @@ func New(s *sim.Simulator, cfg Config, o Observer) *Network {
 	if o == nil {
 		o = NopObserver{}
 	}
-	n := &Network{sim: s, cfg: cfg, links: make(map[topology.Edge]*Link), observer: o}
-	n.root = &exec{id: -1, net: n, sim: s, stats: &n.stats}
-	return n
+	return &Network{sim: s, cfg: cfg, links: make(map[topology.Edge]*Link), observer: o}
 }
 
 // FromGraph returns a network with one node per graph node and one link per
@@ -164,8 +151,6 @@ func (n *Network) Sim() *sim.Simulator { return n.sim }
 func (n *Network) Instrument(m *obs.Metrics, tl *obs.Timeline) {
 	n.met = m
 	n.tl = tl
-	n.root.met = m
-	n.root.tl = tl
 }
 
 // Metrics returns the attached obs counter set (nil when uninstrumented).
@@ -175,16 +160,8 @@ func (n *Network) Metrics() *obs.Metrics { return n.met }
 // uninstrumented).
 func (n *Network) Timeline() *obs.Timeline { return n.tl }
 
-// Stats returns the network-wide counters accumulated so far. In a
-// sharded run the per-shard counters are folded in; call only between
-// windows (or after the run), never from a window event.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	for _, ex := range n.shards {
-		s.add(ex.stats)
-	}
-	return s
-}
+// Stats returns the network-wide counters accumulated so far.
+func (n *Network) Stats() Stats { return n.stats }
 
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.nodes) }
@@ -192,9 +169,8 @@ func (n *Network) Len() int { return len(n.nodes) }
 // AddNode creates a new node and returns it.
 func (n *Network) AddNode() *Node {
 	node := &Node{
-		id:   NodeID(len(n.nodes)),
-		net:  n,
-		exec: n.root,
+		id:  NodeID(len(n.nodes)),
+		net: n,
 	}
 	node.rng = sim.NewStream(n.sim.Seed(), uint64(node.id))
 	n.nodes = append(n.nodes, node)
@@ -266,107 +242,110 @@ func (n *Network) Start() {
 	}
 }
 
-// FailLink takes the a-b link down immediately. Packets in flight or
-// subsequently transmitted onto it are lost; after DetectDelay both ends'
-// protocols receive LinkDown.
+// FailLink fails the a-b link in its own right. If that takes the link
+// down, packets in flight or subsequently transmitted onto it are lost and
+// after DetectDelay both ends' protocols receive LinkDown. Failing a link
+// whose endpoint is already down only records the failure: the link then
+// stays down when the endpoint recovers.
 func (n *Network) FailLink(a, b NodeID) {
+	l := n.mustLink("FailLink", a, b)
+	l.failed = true
+	n.relink(l, a, b)
+}
+
+// RestoreLink clears the a-b link's own failure. The link comes back up —
+// and after DetectDelay both ends' protocols receive LinkUp — unless an
+// endpoint is still failed, in which case it comes up when that node
+// recovers.
+func (n *Network) RestoreLink(a, b NodeID) {
+	l := n.mustLink("RestoreLink", a, b)
+	l.failed = false
+	n.relink(l, a, b)
+}
+
+// FailNode fails the node: every incident link that is up goes down (with
+// the usual detection delay at both ends). The node's protocol keeps
+// running but is isolated — a simplification documented in SCENARIOS.md.
+// FailNode on an already-failed node is a no-op. It returns the number of
+// links the failure took down.
+func (n *Network) FailNode(id NodeID) int {
+	node := n.nodes[id]
+	if node.failed {
+		return 0
+	}
+	node.failed = true
+	took := 0
+	for _, nb := range node.neighbors {
+		if n.relink(node.portTo(nb).link, id, nb) {
+			took++
+		}
+	}
+	n.tl.Node(n.sim.Now(), obs.KindNodeDown, int(id))
+	return took
+}
+
+// RecoverNode recovers a failed node: every incident link comes back up
+// unless it is failed in its own right or its other endpoint is still
+// failed. A no-op for nodes not failed by FailNode.
+func (n *Network) RecoverNode(id NodeID) {
+	node := n.nodes[id]
+	if !node.failed {
+		return
+	}
+	node.failed = false
+	for _, nb := range node.neighbors {
+		l := node.portTo(nb).link
+		n.relink(l, l.edge.A, l.edge.B)
+	}
+	n.tl.Node(n.sim.Now(), obs.KindNodeUp, int(id))
+}
+
+// mustLink returns the a-b link, panicking (a model bug) when none exists.
+func (n *Network) mustLink(op string, a, b NodeID) *Link {
 	l := n.links[topology.NewEdge(a, b)]
 	if l == nil {
-		panic(fmt.Sprintf("netsim: FailLink(%d,%d): no such link", a, b))
+		panic(fmt.Sprintf("netsim: %s(%d,%d): no such link", op, a, b))
 	}
-	if l.down {
-		return
+	return l
+}
+
+// relink derives l's liveness from its inputs — a link is up iff it is not
+// failed in its own right and neither endpoint is failed — and applies the
+// transition if the derived state changed, reporting whether it did. a
+// and b orient the timeline record.
+func (n *Network) relink(l *Link, a, b NodeID) bool {
+	down := l.failed || l.dir[0].owner.failed || l.dir[1].owner.failed
+	if down == l.down {
+		return false
 	}
 	if n.flows != nil {
 		// Settle fluid traffic against the graph that carried it before
 		// the link state flips (and demote crossing flows in hybrid mode).
 		n.flows.linkChanged(a, b)
 	}
-	l.down = true
-	n.tl.Link(n.sim.Now(), obs.KindLinkDown, int(a), int(b))
-	n.sim.Schedule(n.cfg.DetectDelay, func() {
-		if !l.down || l.detectedDown {
-			return // recovered before detection, or already detected
-		}
-		l.detectedDown = true
-		n.tl.Link(n.sim.Now(), obs.KindLinkDownDetected, int(a), int(b))
-		n.notifyLink(l, false)
-	})
-}
-
-// RestoreLink brings the a-b link back up; after DetectDelay both ends'
-// protocols receive LinkUp.
-func (n *Network) RestoreLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: RestoreLink(%d,%d): no such link", a, b))
+	l.down = down
+	if down {
+		n.tl.Link(n.sim.Now(), obs.KindLinkDown, int(a), int(b))
+		n.sim.Schedule(n.cfg.DetectDelay, func() {
+			if !l.down || l.detectedDown {
+				return // recovered before detection, or already detected
+			}
+			l.detectedDown = true
+			n.tl.Link(n.sim.Now(), obs.KindLinkDownDetected, int(a), int(b))
+			n.notifyLink(l, false)
+		})
+	} else {
+		n.tl.Link(n.sim.Now(), obs.KindLinkUp, int(a), int(b))
+		n.sim.Schedule(n.cfg.DetectDelay, func() {
+			if l.down || !l.detectedDown {
+				return // failed again before detection, or failure never detected
+			}
+			l.detectedDown = false
+			n.tl.Link(n.sim.Now(), obs.KindLinkUpDetected, int(a), int(b))
+			n.notifyLink(l, true)
+		})
 	}
-	if !l.down {
-		return
-	}
-	if n.flows != nil {
-		n.flows.linkChanged(a, b)
-	}
-	l.down = false
-	n.tl.Link(n.sim.Now(), obs.KindLinkUp, int(a), int(b))
-	n.sim.Schedule(n.cfg.DetectDelay, func() {
-		if l.down || !l.detectedDown {
-			return // failed again before detection, or failure never detected
-		}
-		l.detectedDown = false
-		n.tl.Link(n.sim.Now(), obs.KindLinkUpDetected, int(a), int(b))
-		n.notifyLink(l, true)
-	})
-}
-
-// FailNode fails the node: every incident link that is currently up goes
-// down (with the usual detection delay at both ends). The node's protocol
-// keeps running but is isolated — a simplification documented in
-// SCENARIOS.md. FailNode on an already-failed node is a no-op. It returns
-// the number of links the failure took down.
-func (n *Network) FailNode(id NodeID) int {
-	if n.nodeDown == nil {
-		n.nodeDown = make(map[NodeID][]topology.Edge)
-	}
-	if _, dup := n.nodeDown[id]; dup {
-		return 0
-	}
-	node := n.nodes[id]
-	var took []topology.Edge
-	for _, nb := range node.neighbors {
-		if l := node.portTo(nb).link; !l.down {
-			n.FailLink(id, nb)
-			took = append(took, topology.NewEdge(id, nb))
-		}
-	}
-	n.nodeDown[id] = took
-	n.tl.Node(n.sim.Now(), obs.KindNodeDown, int(id))
-	return len(took)
-}
-
-// RecoverNode recovers a failed node: the links its failure took down come
-// back up, except links whose other endpoint is itself still failed (those
-// return when that node recovers). A no-op for nodes not failed by
-// FailNode.
-func (n *Network) RecoverNode(id NodeID) {
-	took, ok := n.nodeDown[id]
-	if !ok {
-		return
-	}
-	delete(n.nodeDown, id)
-	for _, e := range took {
-		other := e.A
-		if other == id {
-			other = e.B
-		}
-		if _, stillDown := n.nodeDown[other]; stillDown {
-			continue
-		}
-		if l := n.links[e]; l != nil && l.down {
-			n.RestoreLink(e.A, e.B)
-		}
-	}
-	n.tl.Node(n.sim.Now(), obs.KindNodeUp, int(id))
+	return true
 }
 
 // lossSalt decorrelates the per-port packet-loss streams from the per-node
@@ -378,13 +357,10 @@ const lossSalt = 0x6c6f7373796c6e6b // "lossylnk"
 // probability p, control and data traffic alike. p = 0 clears the setting.
 // Each direction draws from its own per-port sim.Stream (seeded by the
 // simulator seed and the directed port identity), so loss decisions depend
-// only on that port's own transmission order — sharded runs stay
-// bit-for-bit identical to sequential ones.
+// only on that port's own transmission order, never on how other events
+// interleave.
 func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: SetLinkLoss(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("SetLinkLoss", a, b)
 	for _, pt := range l.dir {
 		pt.lossP = p
 		if p > 0 && !pt.lossSeeded {
@@ -402,10 +378,7 @@ func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
 // queued packets still deliver. A no-op if the link is already down or
 // costed out.
 func (n *Network) CostOutLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: CostOutLink(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("CostOutLink", a, b)
 	if l.down || l.detectedDown {
 		return
 	}
@@ -419,10 +392,7 @@ func (n *Network) CostOutLink(a, b NodeID) {
 // (A physical failure and repair cycle clears a cost-out: the repair's
 // detection restores the protocols' view.)
 func (n *Network) CostInLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: CostInLink(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("CostInLink", a, b)
 	if l.down || !l.detectedDown {
 		return
 	}
@@ -481,10 +451,23 @@ func (n *Network) WalkPath(src, dst NodeID) (path []NodeID, ok bool) {
 }
 
 // serialization returns the time to clock size bytes onto a link,
-// memoized per size (in the root execution context's cache; shard
-// contexts carry their own, see exec.serialization).
+// memoized per size.
 func (n *Network) serialization(size int) time.Duration {
-	return n.root.serialization(size)
+	if size >= 0 && size < len(n.serCache) {
+		if d := n.serCache[size]; d != 0 {
+			return d
+		}
+	}
+	d := time.Duration(int64(size) * 8 * int64(time.Second) / n.cfg.LinkRateBps)
+	if size >= 0 && size < serCacheMax {
+		if size >= len(n.serCache) {
+			grown := make([]time.Duration, size+1)
+			copy(grown, n.serCache)
+			n.serCache = grown
+		}
+		n.serCache[size] = d
+	}
+	return d
 }
 
 // dropCounter maps a DropReason to its obs data-drop counter (reasons
@@ -497,20 +480,26 @@ var dropCounter = [numDropReasons]obs.Counter{
 	DropRandomLoss:    obs.DropRandomLoss,
 }
 
-// drop accounts a lost packet in the executing shard's context ex — the
-// context whose event loop is running the losing event, which for
-// propagation-phase losses can differ from the shard owning `where`.
-func (n *Network) drop(ex *exec, where NodeID, pkt *Packet, reason DropReason) {
+// drop accounts a lost packet at node where and notifies the observer.
+func (n *Network) drop(where NodeID, pkt *Packet, reason DropReason) {
 	if pkt.Control() {
-		ex.stats.ControlDrops[reason]++
-		ex.met.Inc(obs.ControlDropped)
+		n.stats.ControlDrops[reason]++
+		n.met.Inc(obs.ControlDropped)
 	} else {
-		ex.stats.DataDrops[reason]++
-		ex.met.Inc(dropCounter[reason])
-		ex.met.PacketOut()
+		n.stats.DataDrops[reason]++
+		n.met.Inc(dropCounter[reason])
+		n.met.PacketOut()
 	}
-	ex.packetDropped(ex.sim.Now(), where, pkt, reason)
-	ex.releasePooled(pkt)
+	n.observer.PacketDropped(n.sim.Now(), where, pkt, reason)
+	releasePooled(pkt)
+}
+
+// releasePooled returns a packet's pooled payload, if any, to its owner's
+// free list.
+func releasePooled(pkt *Packet) {
+	if pm, ok := pkt.Payload.(PooledMessage); ok {
+		pm.Release()
+	}
 }
 
 func insertSorted(s []NodeID, v NodeID) []NodeID {
@@ -527,7 +516,10 @@ type Link struct {
 	net  *Network
 	edge topology.Edge
 	dir  [2]*port
-	down bool
+	// failed is the link's own failure (FailLink); down is derived from it
+	// and the endpoints' failures by Network.relink.
+	failed bool
+	down   bool
 	// detectedDown tracks whether the attached protocols currently believe
 	// the link is down, so that flaps shorter than the detection window
 	// produce no notifications at all.
@@ -594,19 +586,19 @@ var _ sim.Handler = (*port)(nil)
 
 // send enqueues a packet for transmission, dropping data packets when the
 // data queue is full. Control packets are exempt from the cap (reliable
-// transport stand-in, see DESIGN.md). ex is the caller's execution
-// context (the owner's shard during windows, the root at barriers).
-func (p *port) send(ex *exec, pkt *Packet) {
+// transport stand-in, see DESIGN.md).
+func (p *port) send(pkt *Packet) {
 	if p.busy {
-		if !pkt.Control() && p.inQ >= p.owner.net.cfg.QueueLimit {
+		net := p.owner.net
+		if !pkt.Control() && p.inQ >= net.cfg.QueueLimit {
 			p.counters.QueueDrops++
-			p.owner.net.drop(ex, p.owner.id, pkt, DropQueueOverflow)
+			net.drop(p.owner.id, pkt, DropQueueOverflow)
 			return
 		}
 		p.push(pkt)
 		if !pkt.Control() {
 			p.inQ++
-			ex.met.ObserveQueueDepth(p.inQ)
+			net.met.ObserveQueueDepth(p.inQ)
 		}
 		return
 	}
@@ -614,28 +606,22 @@ func (p *port) send(ex *exec, pkt *Packet) {
 }
 
 // transmit clocks the packet onto the wire. If the link is (or goes) down
-// before the packet would arrive, the packet is lost. The serialization
-// event always runs on the owning node's shard, whoever initiated the
-// transmission.
+// before the packet would arrive, the packet is lost.
 func (p *port) transmit(pkt *Packet) {
 	p.busy = true
 	p.counters.TxPackets++
 	p.counters.TxBytes += uint64(pkt.Size)
-	ex := p.owner.exec
-	ex.sim.ScheduleHandler(ex.serialization(pkt.Size), p, portSerDone, pkt)
+	net := p.owner.net
+	net.sim.ScheduleHandler(net.serialization(pkt.Size), p, portSerDone, pkt)
 }
 
 // HandleEvent implements sim.Handler: the serialization-done and
-// propagation-done phases of one packet's flight. Serialization events
-// run on the transmitting node's shard; propagation events on the
-// receiving node's shard — when those differ, the packet crosses through
-// the barrier inbox exchange with the link delay as lookahead.
+// propagation-done phases of one packet's flight.
 func (p *port) HandleEvent(kind int32, data any) {
 	pkt := data.(*Packet)
 	net := p.owner.net
 	switch kind {
 	case portSerDone:
-		ex := p.owner.exec
 		p.busy = false
 		if p.count > 0 {
 			next := p.pop()
@@ -645,22 +631,17 @@ func (p *port) HandleEvent(kind int32, data any) {
 			p.transmit(next)
 		}
 		if p.link.down {
-			net.drop(ex, p.owner.id, pkt, DropLinkFailure)
+			net.drop(p.owner.id, pkt, DropLinkFailure)
 			return
 		}
 		if p.lossP > 0 && p.lossRng.Float64() < p.lossP {
-			net.drop(ex, p.owner.id, pkt, DropRandomLoss)
+			net.drop(p.owner.id, pkt, DropRandomLoss)
 			return
 		}
-		if peer := p.peer.exec; peer != ex {
-			ex.outbox[peer.id] = append(ex.outbox[peer.id],
-				crossMsg{at: ex.sim.Now() + net.cfg.LinkDelay, p: p, pkt: pkt})
-			return
-		}
-		ex.sim.ScheduleHandler(net.cfg.LinkDelay, p, portPropDone, pkt)
+		net.sim.ScheduleHandler(net.cfg.LinkDelay, p, portPropDone, pkt)
 	case portPropDone:
 		if p.link.down {
-			net.drop(p.peer.exec, p.owner.id, pkt, DropLinkFailure)
+			net.drop(p.owner.id, pkt, DropLinkFailure)
 			return
 		}
 		p.peer.receive(p.owner.id, pkt)

@@ -32,13 +32,10 @@ const noRoute NodeID = -1
 type Node struct {
 	id  NodeID
 	net *Network
-	// exec is the execution context the node's events run against: the
-	// network's root context, or the node's shard in a sharded run.
-	exec *exec
 	// rng is the node's private random stream. Protocol jitter draws from
 	// it instead of the shared simulator RNG so the sequence each node
-	// sees depends only on its own event order — which sharded execution
-	// preserves — rather than on the global interleaving.
+	// sees depends only on its own event order rather than on the global
+	// interleaving.
 	rng sim.Stream
 	// ports is indexed by neighbor ID; nil entries are non-neighbors.
 	ports     []*port
@@ -53,31 +50,34 @@ type Node struct {
 	// protocols; flows hash across them.
 	multi map[NodeID][]NodeID
 	proto Protocol
+	// failed marks a node failed by Network.FailNode.
+	failed bool
 }
 
 // ID returns the node's identifier.
 func (nd *Node) ID() NodeID { return nd.id }
 
 // Sim returns the simulator driving this node's events, for protocol
-// timers: the network's simulator, or the shard's in a sharded run.
-func (nd *Node) Sim() *sim.Simulator { return nd.exec.sim }
+// timers.
+func (nd *Node) Sim() *sim.Simulator { return nd.net.sim }
 
 // Jitter returns a duration uniform on [lo, hi] from the node's private
 // random stream. Protocols must draw their timer jitter here rather than
 // from Sim().Rand(): the shared RNG's sequence depends on global event
-// interleaving, which sharded execution does not reproduce.
+// interleaving, so any change to one node's timing would reshuffle every
+// other node's draws.
 func (nd *Node) Jitter(lo, hi time.Duration) time.Duration { return nd.rng.Jitter(lo, hi) }
 
 // Metrics returns the obs counter set this node's events record into, for
-// protocol-level counters. It reads through the execution context at call
-// time, so attach order relative to Network.Instrument does not matter;
-// nil (a no-op recorder) when the network is uninstrumented.
-func (nd *Node) Metrics() *obs.Metrics { return nd.exec.met }
+// protocol-level counters. It reads through the network at call time, so
+// attach order relative to Network.Instrument does not matter; nil (a
+// no-op recorder) when the network is uninstrumented.
+func (nd *Node) Metrics() *obs.Metrics { return nd.net.met }
 
 // Timeline returns the convergence timeline this node's events record
 // into, for protocol-level records (withdrawals, flap damping). Nil when
 // uninstrumented.
-func (nd *Node) Timeline() *obs.Timeline { return nd.exec.tl }
+func (nd *Node) Timeline() *obs.Timeline { return nd.net.tl }
 
 // NetworkSize returns the number of nodes in the network. Node IDs are
 // contiguous from 0, so protocols use it to size dense per-destination
@@ -173,27 +173,20 @@ func (nd *Node) SetRoute(dst, nextHop NodeID) {
 	if prev == nextHop {
 		return
 	}
-	ex := nd.ctx()
-	nd.fluidDirty(ex, dst)
+	net := nd.net
+	nd.fluidDirty(dst)
 	nd.fibSet(dst, nextHop)
-	ex.met.Inc(obs.FIBChanges)
-	ex.tl.FIBChange(ex.sim.Now(), int(nd.id), int(dst), int(nextHop))
-	ex.routeChanged(ex.sim.Now(), nd.id, dst, nextHop, prev, false)
+	net.met.Inc(obs.FIBChanges)
+	net.tl.FIBChange(net.sim.Now(), int(nd.id), int(dst), int(nextHop))
+	net.observer.RouteChanged(net.sim.Now(), nd.id, dst, nextHop, false)
 }
 
 // fluidDirty settles fluid traffic for dst against the entry in force
-// while it accrued, before the forwarding graph changes underneath it —
-// immediately in sequential/coordinator contexts, or deferred to the next
-// barrier from a shard window (the FlowSet runs only on the coordinator).
-func (nd *Node) fluidDirty(ex *exec, dst NodeID) {
-	if nd.net.flows == nil {
-		return
+// while it accrued, before the forwarding graph changes underneath it.
+func (nd *Node) fluidDirty(dst NodeID) {
+	if nd.net.flows != nil {
+		nd.net.flows.fibChanged(nd.id, dst)
 	}
-	if ex.id >= 0 {
-		ex.dirty = append(ex.dirty, dirtyRoute{node: nd.id, dst: dst})
-		return
-	}
-	nd.net.flows.fibChanged(nd.id, dst)
 }
 
 // ClearRoute removes the forwarding entry for dst, if any.
@@ -202,12 +195,12 @@ func (nd *Node) ClearRoute(dst NodeID) {
 	if prev == noRoute {
 		return
 	}
-	ex := nd.ctx()
-	nd.fluidDirty(ex, dst)
+	net := nd.net
+	nd.fluidDirty(dst)
 	nd.fib[dst] = noRoute
-	ex.met.Inc(obs.FIBRemovals)
-	ex.tl.FIBRemove(ex.sim.Now(), int(nd.id), int(dst))
-	ex.routeChanged(ex.sim.Now(), nd.id, dst, 0, prev, true)
+	net.met.Inc(obs.FIBRemovals)
+	net.tl.FIBRemove(net.sim.Now(), int(nd.id), int(dst))
+	net.observer.RouteChanged(net.sim.Now(), nd.id, dst, 0, true)
 }
 
 // NextHop returns the current forwarding entry for dst.
@@ -249,7 +242,7 @@ func (nd *Node) SetMultipath(dst NodeID, nextHops []NodeID) {
 		}
 	}
 	if len(nextHops) >= 2 || nd.multi[dst] != nil {
-		nd.fluidDirty(nd.ctx(), dst)
+		nd.fluidDirty(dst)
 	}
 	if len(nextHops) < 2 {
 		delete(nd.multi, dst)
@@ -289,74 +282,73 @@ func (nd *Node) SendControl(to NodeID, msg Message) {
 	if p == nil {
 		panic(fmt.Sprintf("netsim: node %d: SendControl to non-neighbor %d", nd.id, to))
 	}
-	ex := nd.ctx()
+	net := nd.net
 	pkt := &Packet{
-		ID:      ex.nextID,
+		ID:      net.nextID,
 		Src:     nd.id,
 		Dst:     to,
 		Size:    msg.SizeBytes(),
 		Payload: msg,
-		Created: ex.sim.Now(),
+		Created: net.sim.Now(),
 	}
-	ex.nextID++
-	ex.stats.ControlSent++
-	ex.stats.ControlBytes += uint64(pkt.Size)
-	ex.met.Inc(obs.ControlSent)
-	ex.met.Add(obs.ControlBytes, uint64(pkt.Size))
-	p.send(ex, pkt)
+	net.nextID++
+	net.stats.ControlSent++
+	net.stats.ControlBytes += uint64(pkt.Size)
+	net.met.Inc(obs.ControlSent)
+	net.met.Add(obs.ControlBytes, uint64(pkt.Size))
+	p.send(pkt)
 }
 
 // SendData injects a new data packet addressed to dst and forwards it
 // according to the node's FIB.
 func (nd *Node) SendData(dst NodeID, size, ttl int) {
-	ex := nd.ctx()
+	net := nd.net
 	pkt := &Packet{
-		ID:      ex.nextID,
+		ID:      net.nextID,
 		Src:     nd.id,
 		Dst:     dst,
 		TTL:     ttl,
 		Size:    size,
-		Created: ex.sim.Now(),
+		Created: net.sim.Now(),
 	}
-	ex.nextID++
-	ex.stats.DataSent++
-	ex.met.Inc(obs.PacketsSent)
-	ex.met.PacketIn()
-	if nd.net.cfg.RecordHops {
+	net.nextID++
+	net.stats.DataSent++
+	net.met.Inc(obs.PacketsSent)
+	net.met.PacketIn()
+	if net.cfg.RecordHops {
 		pkt.Trace = append(pkt.Trace, nd.id)
 	}
-	nd.forward(ex, pkt)
+	nd.forward(pkt)
 }
 
-// receive handles a packet arriving from a neighbor. It always executes
-// on the node's own shard (propagation events run on the receiving side).
+// receive handles a packet arriving from a neighbor.
 func (nd *Node) receive(from NodeID, pkt *Packet) {
-	ex := nd.exec
+	net := nd.net
 	if pkt.Control() {
-		ex.met.Inc(obs.ControlReceived)
+		net.met.Inc(obs.ControlReceived)
 		if nd.proto != nil {
 			nd.proto.HandleMessage(from, pkt.Payload)
 		}
-		ex.releasePooled(pkt)
+		releasePooled(pkt)
 		return
 	}
 	pkt.HopCount++
-	if nd.net.cfg.RecordHops {
+	if net.cfg.RecordHops {
 		pkt.Trace = append(pkt.Trace, nd.id)
 	}
 	if pkt.Dst == nd.id {
-		ex.stats.DataDelivered++
-		ex.met.Inc(obs.PacketsDelivered)
-		ex.met.PacketOut()
-		ex.packetDelivered(ex.sim.Now(), pkt)
+		net.stats.DataDelivered++
+		net.met.Inc(obs.PacketsDelivered)
+		net.met.PacketOut()
+		net.observer.PacketDelivered(net.sim.Now(), pkt)
 		return
 	}
 	pkt.TTL--
 	if pkt.TTL <= 0 {
-		nd.net.drop(ex, nd.id, pkt, DropTTLExpired)
+		net.drop(nd.id, pkt, DropTTLExpired)
 		return
 	}
-	nd.forward(ex, pkt)
+	nd.forward(pkt)
 }
 
 // forward looks up the FIB and queues the packet on the corresponding
@@ -365,7 +357,7 @@ func (nd *Node) receive(from NodeID, pkt *Packet) {
 // entry exists, the packet deflects to the backup immediately (fast
 // reroute: the backup lives below the routing table, like a line-card
 // protection entry).
-func (nd *Node) forward(ex *exec, pkt *Packet) {
+func (nd *Node) forward(pkt *Packet) {
 	var p *port
 	if nd.multi != nil {
 		if set := nd.multi[pkt.Dst]; len(set) > 1 {
@@ -396,11 +388,11 @@ func (nd *Node) forward(ex *exec, pkt *Packet) {
 		}
 	}
 	if p == nil {
-		nd.net.drop(ex, nd.id, pkt, DropNoRoute)
+		nd.net.drop(nd.id, pkt, DropNoRoute)
 		return
 	}
-	ex.met.Inc(obs.PacketsForwarded)
-	p.send(ex, pkt)
+	nd.net.met.Inc(obs.PacketsForwarded)
+	p.send(pkt)
 }
 
 // CBR generates constant-bit-rate data traffic from one node to a fixed

@@ -20,8 +20,8 @@ type Source interface {
 const trafficSalt = 0x7472616666696373 // "traffics"
 
 // sourceStream derives the private random stream for the node→dst traffic
-// source. Per-source streams keep inter-arrival sequences identical
-// across shard counts: they depend only on the source's own draw order.
+// source. Per-source streams make inter-arrival sequences depend only on
+// the source's own draw order.
 func sourceStream(node *Node, dst NodeID) sim.Stream {
 	return sim.NewStream(node.Sim().Seed()^trafficSalt,
 		uint64(uint32(node.ID()))<<32|uint64(uint32(dst)))

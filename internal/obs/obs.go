@@ -101,12 +101,6 @@ const (
 	// fluid evaluator accounted (packet-engine bytes are not included).
 	FluidDeliveredBytes
 	FluidDroppedBytes
-	// ShardBarrierWaits counts lockstep window barriers in a sharded run
-	// (netsim.RunSharded); zero in sequential runs.
-	ShardBarrierWaits
-	// ShardCrossMsgs counts packets that crossed a shard boundary through
-	// the barrier inbox exchange.
-	ShardCrossMsgs
 	// ScenarioEvents counts scripted scenario events executed (one per
 	// event, including the compiled legacy failure events).
 	ScenarioEvents
@@ -152,8 +146,6 @@ var counterNames = [numCounters]string{
 	FluidReabsorptions:   "fluid.reabsorptions",
 	FluidDeliveredBytes:  "fluid.delivered_bytes",
 	FluidDroppedBytes:    "fluid.dropped_bytes",
-	ShardBarrierWaits:    "shard.barrier_waits",
-	ShardCrossMsgs:       "shard.cross_msgs",
 	ScenarioEvents:       "scenario.events",
 	ScenarioLinkFails:    "scenario.link_fails",
 	ScenarioNodeFails:    "scenario.node_fails",
@@ -281,26 +273,6 @@ func (m *Metrics) ObserveQueueDepth(depth int) {
 		}
 	}
 	m.queueHist[len(queueBuckets)]++
-}
-
-// Absorb adds every counter, the in-flight balance, and the queue
-// histogram of other into m, and keeps the larger queue peak. It is how a
-// sharded run folds per-shard counter sets into the trial's root set at
-// the end. Either receiver or argument may be nil.
-func (m *Metrics) Absorb(other *Metrics) {
-	if m == nil || other == nil {
-		return
-	}
-	for c := Counter(0); c < numCounters; c++ {
-		m.counters[c] += other.counters[c]
-	}
-	m.inFlight += other.inFlight
-	if other.queuePeak > m.queuePeak {
-		m.queuePeak = other.queuePeak
-	}
-	for i := range m.queueHist {
-		m.queueHist[i] += other.queueHist[i]
-	}
 }
 
 // Snapshot is a Metrics set frozen into named values — the form that lands

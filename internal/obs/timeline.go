@@ -205,52 +205,6 @@ func (t *Timeline) Records() []Record {
 	return t.recs
 }
 
-// AbsorbSorted merges the records of the given timelines into t, keeping
-// the combined log ordered by time. Every input log must already be
-// time-nondecreasing (append-only logs are). Ties are stable: t's own
-// records come first, then the others in argument order — the rule a
-// sharded run uses to fold per-shard logs into the trial timeline. Nil
-// entries are skipped. Call before Finish.
-func (t *Timeline) AbsorbSorted(others ...*Timeline) {
-	if t == nil {
-		return
-	}
-	srcs := make([][]Record, 0, len(others)+1)
-	total := len(t.recs)
-	srcs = append(srcs, t.recs)
-	for _, o := range others {
-		if o == nil || len(o.recs) == 0 {
-			continue
-		}
-		srcs = append(srcs, o.recs)
-		total += len(o.recs)
-	}
-	if len(srcs) == 1 {
-		return
-	}
-	merged := make([]Record, 0, total)
-	idx := make([]int, len(srcs))
-	for {
-		best := -1
-		var bestAt time.Duration
-		for si, src := range srcs {
-			i := idx[si]
-			if i >= len(src) {
-				continue
-			}
-			if at := src[i].At; best < 0 || at < bestAt {
-				best, bestAt = si, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, srcs[best][idx[best]])
-		idx[best]++
-	}
-	t.recs = merged
-}
-
 // Finish synthesizes the summary records from the raw log: per node that
 // changed its FIB at or after failAt, a fib_first_change and fib_last_change
 // record (appended in ascending node order), and one convergence_complete

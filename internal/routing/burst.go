@@ -10,9 +10,8 @@ import (
 // entries keep their slot), so instead of materializing a per-neighbor
 // copy the messages carry index ranges into this shared snapshot and apply
 // the poison at read time. The refcount keeps the snapshot alive until the
-// last in-flight message is released; in sharded runs every release is
-// funneled through the owner's shard or the coordinator barrier (see
-// netsim's releasePooled), so the plain int is race-free.
+// last in-flight message is released. A trial runs on one event loop, so
+// the plain int is race-free.
 type Burst struct {
 	Entries []VectorEntry // staged routes, ascending destination
 	NextHop []NodeID      // parallel: next hop at staging (poison input)

@@ -202,7 +202,7 @@ type Advertiser struct {
 
 // NewAdvertiser returns an Advertiser; full and changed must be non-nil.
 // Jitter is drawn from the node's private random stream, so the advertiser's
-// timing does not depend on the global draw order (a sharded-run invariant).
+// timing does not depend on the global draw order.
 func NewAdvertiser(node *netsim.Node, cfg *VectorConfig, full, changed func()) *Advertiser {
 	a := &Advertiser{cfg: cfg, node: node, full: full, chg: changed}
 	a.periodic = sim.NewTimer(node.Sim(), a.onPeriodic)

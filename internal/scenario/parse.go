@@ -349,15 +349,22 @@ func nodeAndAt(f []string) (topology.NodeID, time.Duration, error) {
 	if len(f) != 2 {
 		return 0, 0, fmt.Errorf("usage: fail|recover node N @T")
 	}
-	n, err := strconv.Atoi(f[0])
-	if err != nil || n < 0 {
+	n, ok := parseNode(f[0])
+	if !ok {
 		return 0, 0, fmt.Errorf("bad node %q", f[0])
 	}
 	at, err := parseAt(f[1])
 	if err != nil {
 		return 0, 0, err
 	}
-	return topology.NodeID(n), at, nil
+	return n, at, nil
+}
+
+// parseNode parses a non-negative node ID that fits NodeID, so an
+// out-of-range number is rejected instead of wrapping onto another node.
+func parseNode(tok string) (topology.NodeID, bool) {
+	n, err := strconv.ParseInt(tok, 10, 32)
+	return topology.NodeID(n), err == nil && n >= 0
 }
 
 // parseEdges parses a comma-separated "A-B,C-D" link list.
@@ -369,12 +376,12 @@ func parseEdges(tok string) ([]topology.Edge, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad link %q (expected A-B)", part)
 		}
-		a, err1 := strconv.Atoi(lo)
-		bb, err2 := strconv.Atoi(hi)
-		if err1 != nil || err2 != nil || a < 0 || bb < 0 {
+		a, okA := parseNode(lo)
+		b, okB := parseNode(hi)
+		if !okA || !okB {
 			return nil, fmt.Errorf("bad link %q (expected A-B)", part)
 		}
-		out = append(out, topology.NewEdge(topology.NodeID(a), topology.NodeID(bb)))
+		out = append(out, topology.NewEdge(a, b))
 	}
 	return out, nil
 }

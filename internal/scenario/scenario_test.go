@@ -77,6 +77,10 @@ func TestParseDiagnostics(t *testing.T) {
 		{"fail link 3-7 @fourhundred", `bad time "@fourhundred"`},
 		{"restore node 12 @400s", `use "recover node" to bring a node back`},
 		{"fail node twelve @400s", `bad node "twelve"`},
+		{"fail node 4294967308 @400s", `bad node "4294967308"`},
+		{"recover node 2147483648 @400s", `bad node "2147483648"`},
+		{"fail link 4294967303-0 @1s", `bad link "4294967303-0"`},
+		{"restore group 3-7,0-2147483648 @410s", `bad link "0-2147483648"`},
 		{"flap link 3-7 every 6s @400s", "usage: flap link A-B every D xN @T"},
 		{"flap link 3-7 every 6s five @400s", `bad cycle count "five"`},
 		{"loss link 1-2 0.01 @410s", `bad loss probability "0.01" (expected p=P)`},

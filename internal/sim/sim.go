@@ -124,8 +124,8 @@ func New(seed int64) *Simulator {
 func (s *Simulator) Now() time.Duration { return s.now }
 
 // Seed returns the seed the simulator was created with. Model code uses it
-// to derive per-entity random streams (see Stream) that stay reproducible
-// regardless of how many event loops a trial is sharded across.
+// to derive per-entity random streams (see Stream) whose sequences depend
+// only on each entity's own draws.
 func (s *Simulator) Seed() int64 { return s.seed }
 
 // Rand returns the simulation's deterministic random source.
@@ -245,29 +245,6 @@ func (s *Simulator) RunUntil(t time.Duration) {
 	if s.now < t {
 		s.now = t
 	}
-}
-
-// RunBefore executes events with time strictly < t, then advances the clock
-// to t. Sharded execution uses it to run a window [now, t): events at
-// exactly t belong to the next window, but new events may still be
-// scheduled at t once the window ends.
-func (s *Simulator) RunBefore(t time.Duration) {
-	for len(s.heap) > 0 && s.slots[s.heap[0]].at < t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// NextEventTime returns the time of the earliest pending event, and whether
-// one exists. The barrier coordinator uses it to size the next lockstep
-// window.
-func (s *Simulator) NextEventTime() (time.Duration, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.slots[s.heap[0]].at, true
 }
 
 // eventLess orders slots by (time, sequence): the sequence tie-break makes

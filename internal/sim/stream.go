@@ -5,12 +5,12 @@ import "time"
 // Stream is a small independent deterministic random stream (splitmix64).
 //
 // The Simulator's shared Rand ties every random draw to global event
-// execution order, which a sharded run cannot reproduce: shards interleave
-// events differently than one sequential loop. Per-entity streams break
-// that coupling — each node or traffic source draws from its own stream
-// seeded by (simulator seed, entity ID), so the sequence it sees depends
-// only on its own event order, which sharding preserves. The zero value is
-// a valid (all-zeros-seeded) stream, but callers should use NewStream.
+// execution order, so a change to one entity's timing reshuffles every
+// other entity's draws. Per-entity streams break that coupling — each node
+// or traffic source draws from its own stream seeded by (simulator seed,
+// entity ID), so the sequence it sees depends only on its own event order.
+// The zero value is a valid (all-zeros-seeded) stream, but callers should
+// use NewStream.
 type Stream struct {
 	state uint64
 }

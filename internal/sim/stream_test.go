@@ -33,7 +33,7 @@ func TestStreamDeterministic(t *testing.T) {
 }
 
 // TestStreamIndependence: drawing from one stream must not perturb
-// another — the property sharding depends on.
+// another, so each entity's sequence depends only on its own draws.
 func TestStreamIndependence(t *testing.T) {
 	a := NewStream(1, 10)
 	b := NewStream(1, 11)
@@ -99,65 +99,4 @@ func TestStreamInt63nPanics(t *testing.T) {
 	}()
 	st := NewStream(1, 1)
 	st.Int63n(0)
-}
-
-// TestCoordinatorWindows drives three simulators through exclusive
-// windows and checks the barrier semantics: events strictly before the
-// bound fire, events at the bound wait, and the final inclusive window
-// matches sequential RunUntil.
-func TestCoordinatorWindows(t *testing.T) {
-	sims := []*Simulator{New(1), New(2), New(3)}
-	fired := make([][]time.Duration, 3)
-	for i, s := range sims {
-		i := i
-		for _, at := range []time.Duration{1 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond} {
-			at := at
-			s.ScheduleAt(at, func() { fired[i] = append(fired[i], at) })
-		}
-	}
-	c := NewCoordinator(sims)
-	defer c.Stop()
-
-	if min, ok := c.MinNextEvent(); !ok || min != time.Millisecond {
-		t.Fatalf("MinNextEvent = %v, %v; want 1ms, true", min, ok)
-	}
-	c.RunWindow(5 * time.Millisecond)
-	for i := range fired {
-		if len(fired[i]) != 1 || fired[i][0] != time.Millisecond {
-			t.Fatalf("sim %d after exclusive window to 5ms: fired %v, want [1ms]", i, fired[i])
-		}
-		if now := sims[i].Now(); now != 5*time.Millisecond {
-			t.Errorf("sim %d clock = %v, want 5ms (parked at the bound)", i, now)
-		}
-	}
-	if min, ok := c.MinNextEvent(); !ok || min != 5*time.Millisecond {
-		t.Fatalf("MinNextEvent = %v, %v; want 5ms, true", min, ok)
-	}
-	c.RunWindowUntil(10 * time.Millisecond)
-	for i := range fired {
-		if len(fired[i]) != 3 {
-			t.Errorf("sim %d after inclusive window to 10ms: fired %v, want all three", i, fired[i])
-		}
-	}
-	if _, ok := c.MinNextEvent(); ok {
-		t.Error("MinNextEvent reports pending events after everything fired")
-	}
-	if c.FiredTotal() != 9 {
-		t.Errorf("FiredTotal = %d, want 9", c.FiredTotal())
-	}
-}
-
-// TestCoordinatorStopIdlesWorkers: Stop returns with all workers joined,
-// and the simulators remain usable sequentially afterwards.
-func TestCoordinatorStopIdlesWorkers(t *testing.T) {
-	sims := []*Simulator{New(1), New(2)}
-	n := 0
-	sims[0].ScheduleAt(time.Second, func() { n++ })
-	c := NewCoordinator(sims)
-	c.RunWindow(500 * time.Millisecond)
-	c.Stop()
-	sims[0].RunUntil(2 * time.Second)
-	if n != 1 {
-		t.Errorf("event did not fire after Stop: n = %d", n)
-	}
 }

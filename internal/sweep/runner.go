@@ -92,20 +92,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		// Sharded cells keep Config.Shards goroutines busy per trial (and
-		// core.Run further parallelizes trials); shrink the cell pool so
-		// the default does not oversubscribe the machine.
-		maxShards := 1
-		for i := range cells {
-			if s := cells[i].Config.Shards; s > maxShards {
-				maxShards = s
-			}
-		}
-		if maxShards > 1 {
-			if workers = workers / maxShards; workers < 1 {
-				workers = 1
-			}
-		}
 	}
 	if workers > len(cells) {
 		workers = len(cells)

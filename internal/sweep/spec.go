@@ -117,11 +117,6 @@ type Spec struct {
 	// "packet" (default), "fluid", or "hybrid". Flow counts beyond a few
 	// thousand need "fluid" or "hybrid" to stay tractable.
 	Mode string `json:"mode,omitempty"`
-	// Shards splits every cell's trials over this many parallel shard
-	// simulators (1 or 0 = sequential). Results are identical either way;
-	// the runner divides its default worker count by the largest shard
-	// count so a sweep never oversubscribes the machine.
-	Shards int `json:"shards,omitempty"`
 	// Failures lists the failure models; empty means the paper's single
 	// permanent failure.
 	Failures []FailureMode `json:"failures,omitempty"`
@@ -215,9 +210,6 @@ func (s *Spec) base() core.Config {
 	}
 	if s.Metrics {
 		cfg.Metrics = true
-	}
-	if s.Shards > 0 {
-		cfg.Shards = s.Shards
 	}
 	return cfg
 }

@@ -58,10 +58,10 @@ type Drop struct {
 // Recording is instant-granular: records raised at one simulation instant
 // are buffered until the instant ends, then committed in a canonical
 // order (and the forwarding walk sampled once, at the instant's final
-// state). Same-instant events carry no defined order — a sequential run
-// orders them by scheduling accident, a sharded run by shard interleaving
-// — so canonical commit order is what makes trial output identical across
-// engine configurations. Call Flush after the run to commit the tail.
+// state). Same-instant events carry no defined order — the engine orders
+// them by scheduling accident — so canonical commit order is what keeps
+// trial output independent of that accident. Call Flush after the run to
+// commit the tail.
 type Collector struct {
 	net      *netsim.Network
 	src, dst netsim.NodeID

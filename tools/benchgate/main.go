@@ -1,6 +1,6 @@
 // Command benchgate compares Go benchmark output against a committed
 // ns/op baseline and fails when any gated case regresses beyond the
-// threshold. It exists so the bench-smoke CI job catches performance
+// threshold or is missing from the run. It exists so the bench-smoke CI job catches performance
 // regressions in the convergence hot paths, not just crashes.
 //
 // Usage:
@@ -125,13 +125,26 @@ func main() {
 		}
 		fmt.Printf("%s %-60s %14.0f ns/op  baseline %14.0f  ratio %.2f\n", status, k, cur, want, ratio)
 	}
+	// A gated case missing from the run fails the gate: deleting or
+	// renaming a benchmark must not silently un-gate it. Retire a case by
+	// removing it from the baseline (or refreshing with -update).
+	var gone []string
 	for k := range base.Cases {
 		if _, ok := cases[k]; !ok {
-			fmt.Printf("GONE  %-60s (in baseline but not in this run)\n", k)
+			gone = append(gone, k)
 		}
+	}
+	sort.Strings(gone)
+	for _, k := range gone {
+		fmt.Printf("GONE  %-60s (in baseline but not in this run)\n", k)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d case(s) regressed beyond %.2fx the baseline in %s\n", failed, th, *basePath)
+	}
+	if len(gone) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: %d baseline case(s) missing from %s\n", len(gone), *benchPath)
+	}
+	if failed > 0 || len(gone) > 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d case(s) within %.2fx of baseline\n", len(cases), th)
