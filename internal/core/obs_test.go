@@ -85,3 +85,29 @@ func TestMetricsOffByDefault(t *testing.T) {
 		t.Fatalf("Metrics disabled but TrialResult.Metrics = %v", tr.Metrics)
 	}
 }
+
+// TestPaperTrialLaneShare checks the traffic the event engine's fixed-delay
+// lanes are built for: in a paper trial (default 7×7 mesh, 800 s) per-hop
+// packet events dominate and recur at a few fixed delays, so at least 85%
+// of all events must leave the queue from a lane rather than the heap.
+func TestPaperTrialLaneShare(t *testing.T) {
+	for _, p := range Protocols() {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Protocol = p
+			cfg.Trials = 1
+			cfg.Metrics = true
+			tr, _, err := TraceObserved(cfg, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired, laned := tr.Metrics["events.fired"], tr.Metrics["events.laned"]
+			if fired == 0 {
+				t.Fatal("no events fired")
+			}
+			if share := float64(laned) / float64(fired); share < 0.85 {
+				t.Errorf("lane share %.3f (%d of %d events), want ≥ 0.85", share, laned, fired)
+			}
+		})
+	}
+}

@@ -364,6 +364,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		flowSet.Finish() // settle the fluid tail before reading stats
 	}
 	met.Set(obs.EventsFired, s.Fired())
+	met.Set(obs.EventsLaned, s.QueueStats().Lane)
 	tl.Finish(cfg.FailAt)
 	for _, f := range flows {
 		f.collector.Flush() // commit the final instant's buffered records

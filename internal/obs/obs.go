@@ -27,8 +27,8 @@ import "sort"
 type Counter uint8
 
 // The counter universe. Data-plane counters are maintained by
-// internal/netsim; Proto* counters by the routing protocols; EventsFired by
-// the harness from sim.Simulator.Fired at trial end.
+// internal/netsim; Proto* counters by the routing protocols; EventsFired and
+// EventsLaned by the harness from the simulator at trial end.
 const (
 	// PacketsSent counts data packets injected by traffic sources.
 	PacketsSent Counter = iota
@@ -67,6 +67,9 @@ const (
 	FIBRemovals
 	// EventsFired is the total number of simulator events executed.
 	EventsFired
+	// EventsLaned is how many of them the engine dispatched from a
+	// fixed-delay FIFO lane rather than its heap (sim.QueueStats).
+	EventsLaned
 	// ProtoUpdatesSent and ProtoUpdatesReceived count protocol update
 	// messages (RIP/DBF vector updates, BGP announcements).
 	ProtoUpdatesSent
@@ -133,6 +136,7 @@ var counterNames = [numCounters]string{
 	FIBChanges:           "fib.changes",
 	FIBRemovals:          "fib.removals",
 	EventsFired:          "events.fired",
+	EventsLaned:          "events.laned",
 	ProtoUpdatesSent:     "proto.updates.sent",
 	ProtoUpdatesReceived: "proto.updates.received",
 	ProtoWithdrawalsSent: "proto.withdrawals.sent",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -66,8 +67,8 @@ func TestStaleHandleIsInert(t *testing.T) {
 }
 
 // Cancelling events out of order exercises heapRemove's interior-deletion
-// path (swap with last, sift both ways); the survivors must still fire in
-// time order.
+// path (move the last entry into the hole, sift it up or down); the
+// survivors must still fire in time order.
 func TestCancelInteriorKeepsOrder(t *testing.T) {
 	s := New(1)
 	const n = 64
@@ -144,5 +145,120 @@ func TestTimerChurnZeroAlloc(t *testing.T) {
 		s.Run()
 	}); avg != 0 {
 		t.Errorf("Timer Reset/Reset/fire allocates %.1f objects per op, want 0", avg)
+	}
+}
+
+// queueStorage is the number of entries the queue holds: heap entries plus
+// every lane buffer's entries, including tombstones and the consumed
+// prefix.
+func (s *Simulator) queueStorage() int {
+	n := len(s.heap)
+	for k := range s.lanes {
+		n += len(s.lanes[k].buf)
+	}
+	return n
+}
+
+// Lane storage must stay bounded under cancel/reschedule churn: a
+// cancelled lane entry is tombstoned in place unless it is the lane's head
+// or tail, so without compaction a timer re-armed behind other same-delay
+// events would grow its lane without bound.
+func TestLaneStorageBounded(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	s.Schedule(time.Hour, fn) // a non-empty queue routes events to lanes
+	const d = time.Millisecond
+	for i := 0; i < 1000; i++ {
+		s.Schedule(d, fn).Cancel()
+	}
+	if s.laneDelay[0] != d {
+		t.Fatalf("lane 0 bound to %v, want %v", s.laneDelay[0], d)
+	}
+	if got := s.queueStorage(); got != 1 {
+		t.Fatalf("queue holds %d entries after 1000 schedule/cancel cycles, want 1", got)
+	}
+	if len(s.slots) != 2 {
+		t.Fatalf("arena holds %d slots after 1000 schedule/cancel cycles, want 2", len(s.slots))
+	}
+
+	// Re-arm a timer at d while a rolling window of other events at d keeps
+	// the lane non-empty: each Reset tombstones the previous firing, which
+	// by then sits between keepers.
+	timer := NewTimer(s, fn)
+	var keepers []Event
+	peak := 0
+	for i := 0; i < 1000; i++ {
+		keepers = append(keepers, s.Schedule(d, fn))
+		timer.Reset(d)
+		if len(keepers) > 8 {
+			keepers[0].Cancel()
+			keepers = keepers[1:]
+		}
+		if i%50 == 0 {
+			s.RunUntil(s.Now() + d/2) // advance the clock without firing
+		}
+		live := s.Pending()
+		if live != len(keepers)+2 {
+			t.Fatalf("Pending() = %d, want %d", live, len(keepers)+2)
+		}
+		if got := s.queueStorage(); got > 4*live {
+			t.Fatalf("cycle %d: queue holds %d entries for %d live events (bound 4×live)", i, got, live)
+		}
+		if got := s.queueStorage(); got > peak {
+			peak = got
+		}
+	}
+	if s.QueueStats().Lane != 0 || s.Fired() != 0 {
+		t.Fatalf("events fired during the churn: %+v", s.QueueStats())
+	}
+	t.Logf("peak storage %d entries for %d live events", peak, len(keepers)+2)
+}
+
+// Every subset of a lane's entries, cancelled in ascending or descending
+// order, must leave exactly the complement to fire in order: this walks
+// every head, tail and interior cancel path, including tails and heads
+// uncovered by earlier tombstones.
+func TestLaneCancelSubsets(t *testing.T) {
+	const n = 6
+	for mask := 0; mask < 1<<n; mask++ {
+		for _, desc := range []bool{false, true} {
+			s := New(1)
+			s.Schedule(time.Hour, func() {})                 // a non-empty queue routes events to lanes
+			s.Schedule(time.Millisecond, func() {}).Cancel() // miss: remembered
+			var fired []int
+			events := make([]Event, n)
+			for i := range events {
+				i := i
+				events[i] = s.Schedule(time.Millisecond, func() { fired = append(fired, i) })
+			}
+			if len(s.heap) != 1 || s.active != 1 {
+				t.Fatal("events did not all take one lane")
+			}
+			for j := 0; j < n; j++ {
+				i := j
+				if desc {
+					i = n - 1 - j
+				}
+				if mask&(1<<i) != 0 {
+					events[i].Cancel()
+				}
+			}
+			var want []int
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) == 0 {
+					want = append(want, i)
+				}
+			}
+			if s.Pending() != len(want)+1 {
+				t.Fatalf("mask %06b desc=%v: Pending() = %d, want %d", mask, desc, s.Pending(), len(want)+1)
+			}
+			s.RunUntil(time.Minute)
+			if fmt.Sprint(fired) != fmt.Sprint(want) {
+				t.Fatalf("mask %06b desc=%v: fired %v, want %v", mask, desc, fired, want)
+			}
+			if s.active != 0 || s.Pending() != 1 {
+				t.Fatalf("mask %06b desc=%v: lane not empty after its events fired", mask, desc)
+			}
+		}
 	}
 }
