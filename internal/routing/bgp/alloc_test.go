@@ -41,8 +41,11 @@ func TestIdleFlushAllocs(t *testing.T) {
 }
 
 // A flush with announcements held back by a pending MRAI timer must not
-// allocate either: classification walks the per-neighbor pending list in
-// the reusable scratch buffers, and the list rebuild reuses its capacity.
+// allocate either. While the timer is pending, flushAll takes the held
+// path: it scans only the event's dirty list (empty for a bare flushAll,
+// one destination per update below) into the reusable withdrawal scratch,
+// and re-flagging an already held destination appends nothing to the
+// pending list.
 func TestHeldFlushAllocs(t *testing.T) {
 	s := sim.New(1)
 	g := topology.NewGraph(3)
@@ -68,6 +71,22 @@ func TestHeldFlushAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() { p.flushAll() })
 	if avg != 0 {
 		t.Errorf("held flushAll allocates %.1f objects, want 0", avg)
+	}
+	// Flap one held destination: each update dirties it, and the held
+	// flush finds nothing to withdraw (it was never advertised).
+	ann := &Update{Dst: 100, Path: []netsim.NodeID{2, 7, 100}}
+	wd := &Update{Withdrawn: []netsim.NodeID{100}}
+	flap := func() {
+		p.HandleMessage(2, wd)
+		p.HandleMessage(2, ann)
+	}
+	flap()
+	avg = testing.AllocsPerRun(100, flap)
+	if avg != 0 {
+		t.Errorf("held withdraw+announce allocates %.1f objects, want 0", avg)
+	}
+	if !p.mrai[1].Pending() {
+		t.Fatal("MRAI timer expired during the measurement")
 	}
 }
 

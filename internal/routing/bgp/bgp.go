@@ -34,7 +34,8 @@ import (
 // plus 40 bytes of TCP/IP framing: a 19-byte BGP header and the two
 // section-length fields; 5 bytes per withdrawn route; 14 bytes of
 // attribute/NLRI overhead plus 4 bytes per path element for an
-// announcement. TestWireSizeModel pins SizeBytes to len(Encode()).
+// announcement, plus asPathExtraBytes for paths of 64 hops or more.
+// TestWireSizeModel pins SizeBytes to len(Encode()).
 const (
 	headerBytes   = TCPIPOverhead + bgpHeaderLen + 4
 	withdrawBytes = 5
@@ -105,7 +106,7 @@ func (u *Update) SizeBytes() int {
 	if u.size == 0 {
 		s := headerBytes + withdrawBytes*len(u.Withdrawn)
 		if u.Path != nil {
-			s += announceBytes + pathElemBytes*len(u.Path)
+			s += announceBytes + pathElemBytes*len(u.Path) + asPathExtraBytes(len(u.Path))
 		}
 		u.size = int32(s)
 	}
@@ -164,13 +165,15 @@ type Protocol struct {
 	// withdrawal).
 	ribOut [][]pathID
 	// pending flags, per neighbor, destinations whose state changed since
-	// the last flush; pendingCount tracks how many flags are set per
+	// the last full flush; pendingCount tracks how many flags are set per
 	// neighbor so an idle flush is O(1). pendList mirrors the flagged set
-	// as an explicit list so a flush touches only pending destinations:
-	// outside flush flags are only ever set (setPending appends on each
-	// false→true flip, so the list holds no duplicates), and every flush
-	// ends by rebuilding the list from what stayed flagged, restoring
-	// sorted order.
+	// as an explicit list so a flush touches only pending destinations.
+	// Only the full flush clears flags, and it ends by rebuilding the list
+	// from what stayed flagged, restoring sorted order. Everywhere else
+	// flags are only ever set (setPending appends on each false→true flip,
+	// so the list holds no duplicates); that includes the held flush
+	// (flushHeld), which leaves the destinations it withdraws flagged for
+	// the next full flush to clear.
 	pending      [][]bool
 	pendingCount []int
 	pendList     [][]routing.NodeID
@@ -504,26 +507,64 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 }
 
 // flushAll propagates all destinations dirtied by the current event to
-// every up neighbor, then attempts a flush per neighbor. Only the dirty
-// set is walked; its order is irrelevant because setPending just raises
-// flags — everything order-sensitive (the wire) happens in flush, which
-// visits pending destinations in ascending order.
+// every up neighbor, then flushes each neighbor. setPending only raises
+// flags, so the propagation order is irrelevant; everything order-sensitive
+// (the wire) visits destinations in ascending order.
+//
+// A neighbor whose per-neighbor MRAI timer is pending takes the held path:
+// only withdrawals can be sent, and only of destinations this event
+// dirtied (see flushHeld), so it scans the sorted dirty list instead of
+// classifying every pending destination. The timer's own expiry, an idle
+// timer and per-destination MRAI take the full flush.
 func (p *Protocol) flushAll() {
-	if len(p.dirtyList) > 0 {
-		for _, dst := range p.dirtyList {
-			p.dirty[dst] = false
-			for _, n := range p.node.Neighbors() {
-				if p.upTo(n) {
-					p.setPending(n, dst)
-				}
+	dl := p.dirtyList
+	sortIDs(dl)
+	for _, dst := range dl {
+		p.dirty[dst] = false
+		for _, n := range p.node.Neighbors() {
+			if p.upTo(n) {
+				p.setPending(n, dst)
 			}
 		}
-		p.dirtyList = p.dirtyList[:0]
 	}
 	for _, n := range p.node.Neighbors() {
-		if p.upTo(n) {
+		if !p.upTo(n) {
+			continue
+		}
+		if !p.cfg.PerDestMRAI && p.mrai[n].Pending() {
+			p.flushHeld(n, dl)
+		} else {
 			p.flush(n)
 		}
+	}
+	p.dirtyList = dl[:0]
+}
+
+// flushHeld is flush for a neighbor whose per-neighbor MRAI timer is
+// pending, at O(dirty) instead of O(pending) cost. With the timer pending a
+// full flush sends no announcements, so its only output is one withdrawal
+// batch: the destinations with best == noPath and a non-empty ribOut[n].
+// Every flush of n withdraws all of them, and between flushes best changes
+// only in recompute, which marks the destination dirty and is always
+// followed by flushAll in the same handler. So scanning the ascending dirty
+// list yields exactly the full classification's batch, in the same order.
+// Withdrawn destinations stay flagged (pendList must equal the flagged
+// set); the next full flush finds them current and clears them. With
+// damped withdrawals a held flush sends nothing.
+func (p *Protocol) flushHeld(n routing.NodeID, dirty []routing.NodeID) {
+	if p.cfg.DampWithdrawals {
+		return
+	}
+	out := p.ribOut[n]
+	withdrawals := p.wdScratch[:0]
+	for _, d := range dirty {
+		if p.best[d] == noPath && out[d] != noPath {
+			withdrawals = append(withdrawals, d)
+		}
+	}
+	p.wdScratch = withdrawals
+	if len(withdrawals) > 0 {
+		p.sendWithdrawals(n, withdrawals, p.node.Sim().Now())
 	}
 }
 
@@ -553,15 +594,7 @@ func (p *Protocol) flush(n routing.NodeID) {
 	withdrawals := p.wdScratch[:0]
 	announcements := p.annScratch[:0]
 	if pl := p.pendList[n]; len(pl)*4 <= p.ids() {
-		for i := 1; i < len(pl); i++ {
-			d := pl[i]
-			j := i - 1
-			for j >= 0 && pl[j] > d {
-				pl[j+1] = pl[j]
-				j--
-			}
-			pl[j+1] = d
-		}
+		sortIDs(pl)
 		for _, d := range pl {
 			if pend[d] {
 				withdrawals, announcements = p.classifyDst(n, d, out, withdrawals, announcements)
@@ -577,17 +610,8 @@ func (p *Protocol) flush(n routing.NodeID) {
 	p.wdScratch, p.annScratch = withdrawals, announcements
 
 	if len(withdrawals) > 0 {
-		u := p.pool.get()
-		u.Withdrawn = append(u.Withdrawn, withdrawals...)
-		p.node.Metrics().Add(obs.ProtoWithdrawalsSent, uint64(len(withdrawals)))
-		if tl := p.node.Timeline(); tl != nil {
-			for _, dst := range withdrawals {
-				tl.Withdrawal(now, int(p.node.ID()), int(n), int(dst))
-			}
-		}
-		p.node.SendControl(n, u)
+		p.sendWithdrawals(n, withdrawals, now)
 		for _, dst := range withdrawals {
-			out[dst] = noPath
 			p.clearPending(n, dst)
 		}
 	}
@@ -612,6 +636,24 @@ func (p *Protocol) flush(n routing.NodeID) {
 		}
 	}
 	p.pendList[n] = pl
+}
+
+// sendWithdrawals sends one batch withdrawing dsts (ascending) from n and
+// records the withdrawals in ribOut. Pending flags are the caller's.
+func (p *Protocol) sendWithdrawals(n routing.NodeID, dsts []routing.NodeID, now time.Duration) {
+	u := p.pool.get()
+	u.Withdrawn = append(u.Withdrawn, dsts...)
+	p.node.Metrics().Add(obs.ProtoWithdrawalsSent, uint64(len(dsts)))
+	if tl := p.node.Timeline(); tl != nil {
+		for _, dst := range dsts {
+			tl.Withdrawal(now, int(p.node.ID()), int(n), int(dst))
+		}
+	}
+	p.node.SendControl(n, u)
+	out := p.ribOut[n]
+	for _, dst := range dsts {
+		out[dst] = noPath
+	}
 }
 
 // classifyDst routes one pending destination into the withdrawal or
@@ -686,6 +728,21 @@ func (p *Protocol) mraiInterval() time.Duration {
 		lo = 0
 	}
 	return p.node.Jitter(lo, p.cfg.MRAI+p.cfg.MRAIJitter)
+}
+
+// sortIDs sorts ids ascending by insertion: the lists sorted here are
+// short or already mostly sorted, so this is near-linear and allocation
+// free.
+func sortIDs(ids []routing.NodeID) {
+	for i := 1; i < len(ids); i++ {
+		d := ids[i]
+		j := i - 1
+		for j >= 0 && ids[j] > d {
+			ids[j+1] = ids[j]
+			j--
+		}
+		ids[j+1] = d
+	}
 }
 
 func contains(path []routing.NodeID, id routing.NodeID) bool {

@@ -13,6 +13,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add((&Update{Withdrawn: []routing.NodeID{1, 2}}).Encode())
 	f.Add((&Update{Dst: 9, Path: []routing.NodeID{3, 5, 9}}).Encode())
 	f.Add((&Update{Withdrawn: []routing.NodeID{7}, Dst: 9, Path: []routing.NodeID{3, 9}}).Encode())
+	f.Add((&Update{Dst: 9, Path: longPath(64)}).Encode()) // Extended Length AS_PATH
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeUpdate(data)
 		if err != nil {

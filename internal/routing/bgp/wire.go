@@ -12,9 +12,15 @@ import (
 //	header:    16-byte marker, 2-byte length, 1-byte type (UPDATE = 2)
 //	withdrawn: 2-byte length, then per route 1-byte prefix length + 4 bytes
 //	attrs:     2-byte length, then ORIGIN (4 bytes) and AS_PATH
-//	           (3-byte attribute header, 1-byte segment type, 1-byte count,
-//	           4 bytes per AS) when a route is announced
+//	           (3-byte attribute header, then per AS_SEQUENCE segment a
+//	           1-byte segment type, 1-byte count and 4 bytes per AS) when
+//	           a route is announced
 //	nlri:      1-byte prefix length + 4 bytes
+//
+// As RFC 4271 requires, a segment holds at most 255 ASes, so longer paths
+// split into several segments, and an attribute over 255 bytes sets the
+// Extended Length flag and carries a 2-byte length (a 4-byte header). Both
+// start at 64 hops; shorter paths are one segment with a 1-byte length.
 //
 // The Update size model (headerBytes etc.) matches this encoding plus
 // 40 bytes of TCP/IP framing; TestWireSizeModel pins that.
@@ -27,10 +33,35 @@ const (
 	attrASPath = 2
 
 	asPathSegSequence = 2
+	// maxSegASes is the most ASes one AS_PATH segment can count.
+	maxSegASes = 255
+
+	attrFlagTransitive = 0x40
+	attrFlagExtLen     = 0x10
 
 	// TCPIPOverhead is the transport framing a BGP message rides in.
 	TCPIPOverhead = 40
 )
+
+// asPathAttrLen returns the AS_PATH attribute's value length in bytes: a
+// type and a count byte per segment of up to 255 ASes, and 4 bytes per AS.
+// An empty path is still one (empty) segment.
+func asPathAttrLen(hops int) int {
+	segments := max(1, (hops+maxSegASes-1)/maxSegASes)
+	return 2*segments + 4*hops
+}
+
+// asPathExtraBytes is what a path's AS_PATH costs beyond the one-segment,
+// 1-byte-length form the size model's constants assume. It is 0 below 64
+// hops.
+func asPathExtraBytes(hops int) int {
+	attrLen := asPathAttrLen(hops)
+	extra := attrLen - (2 + 4*hops) // segments after the first
+	if attrLen > 255 {
+		extra++ // the Extended Length flag's second length byte
+	}
+	return extra
+}
 
 func addrForNode(id routing.NodeID) uint32 { return 0x0A00_0000 | uint32(id)&0x00FF_FFFF }
 func nodeForAddr(addr uint32) routing.NodeID {
@@ -49,17 +80,26 @@ func (u *Update) Encode() []byte {
 
 	var attrs, nlri []byte
 	if u.Path != nil {
-		attrs = make([]byte, 0, 9+4*len(u.Path))
+		attrLen := asPathAttrLen(len(u.Path))
+		attrs = make([]byte, 0, 8+attrLen)
 		// ORIGIN: flags(transitive), type, length, value(IGP).
-		attrs = append(attrs, 0x40, attrOrigin, 1, 0)
-		// AS_PATH: flags, type, length, then one AS_SEQUENCE segment.
-		segLen := 2 + 4*len(u.Path)
-		attrs = append(attrs, 0x40, attrASPath, byte(segLen))
-		attrs = append(attrs, asPathSegSequence, byte(len(u.Path)))
-		for _, as := range u.Path {
-			var n [4]byte
-			binary.BigEndian.PutUint32(n[:], uint32(as))
-			attrs = append(attrs, n[:]...)
+		attrs = append(attrs, attrFlagTransitive, attrOrigin, 1, 0)
+		// AS_PATH: flags, type, length, then AS_SEQUENCE segments.
+		if attrLen > 255 {
+			attrs = append(attrs, attrFlagTransitive|attrFlagExtLen, attrASPath)
+			attrs = binary.BigEndian.AppendUint16(attrs, uint16(attrLen))
+		} else {
+			attrs = append(attrs, attrFlagTransitive, attrASPath, byte(attrLen))
+		}
+		for path := u.Path; ; {
+			seg := path[:min(len(path), maxSegASes)]
+			attrs = append(attrs, asPathSegSequence, byte(len(seg)))
+			for _, as := range seg {
+				attrs = binary.BigEndian.AppendUint32(attrs, uint32(as))
+			}
+			if path = path[len(seg):]; len(path) == 0 {
+				break
+			}
 		}
 		nlri = make([]byte, 5)
 		nlri[0] = 32
@@ -125,21 +165,32 @@ func DecodeUpdate(buf []byte) (*Update, error) {
 		if len(attrs) < 3 {
 			return nil, fmt.Errorf("bgp: truncated attribute header")
 		}
-		typ, alen := attrs[1], int(attrs[2])
-		body := attrs[3:]
+		typ, alen, body := attrs[1], int(attrs[2]), attrs[3:]
+		if attrs[0]&attrFlagExtLen != 0 {
+			if len(attrs) < 4 {
+				return nil, fmt.Errorf("bgp: truncated attribute header")
+			}
+			alen, body = int(binary.BigEndian.Uint16(attrs[2:])), attrs[4:]
+		}
 		if alen > len(body) {
 			return nil, fmt.Errorf("bgp: attribute %d length %d exceeds remainder", typ, alen)
 		}
 		if typ == attrASPath {
-			if alen < 2 || body[0] != asPathSegSequence {
+			if alen < 2 {
 				return nil, fmt.Errorf("bgp: malformed AS_PATH")
 			}
-			count := int(body[1])
-			if alen != 2+4*count {
-				return nil, fmt.Errorf("bgp: AS_PATH length mismatch")
-			}
-			for i := 0; i < count; i++ {
-				path = append(path, routing.NodeID(binary.BigEndian.Uint32(body[2+4*i:])))
+			for seg := body[:alen]; len(seg) > 0; {
+				if len(seg) < 2 || seg[0] != asPathSegSequence {
+					return nil, fmt.Errorf("bgp: malformed AS_PATH")
+				}
+				count := int(seg[1])
+				if len(seg) < 2+4*count {
+					return nil, fmt.Errorf("bgp: AS_PATH length mismatch")
+				}
+				for i := 0; i < count; i++ {
+					path = append(path, routing.NodeID(binary.BigEndian.Uint32(seg[2+4*i:])))
+				}
+				seg = seg[2+4*count:]
 			}
 		}
 		attrs = body[alen:]

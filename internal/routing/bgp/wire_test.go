@@ -52,6 +52,35 @@ func TestUpdateRoundTripMixed(t *testing.T) {
 	}
 }
 
+// longPath returns a hops-long path ending at destination 9, with AS
+// numbers large enough that every byte of each AS is in use.
+func longPath(hops int) []routing.NodeID {
+	path := make([]routing.NodeID, hops)
+	for i := range path {
+		path[i] = routing.NodeID(0x01020300 + i)
+	}
+	path[hops-1] = 9
+	return path
+}
+
+// Paths of 64 hops and more need the Extended Length flag (the AS_PATH
+// attribute passes 255 bytes) and, past 255 hops, more than one AS_SEQUENCE
+// segment. Both used to wrap a one-byte field and produce a malformed
+// UPDATE.
+func TestUpdateRoundTripLongPaths(t *testing.T) {
+	for _, hops := range []int{63, 64, 255, 256, 300} {
+		u := &Update{Withdrawn: []routing.NodeID{7}, Dst: 9, Path: longPath(hops)}
+		got, err := DecodeUpdate(u.Encode())
+		if err != nil {
+			t.Errorf("%d hops: %v", hops, err)
+			continue
+		}
+		if got.Dst != u.Dst || !pathsEq(got.Path, u.Path) || !pathsEq(got.Withdrawn, u.Withdrawn) {
+			t.Errorf("%d hops: round trip changed the update", hops)
+		}
+	}
+}
+
 // TestWireSizeModel pins the analytic size model to the actual encoding:
 // SizeBytes = len(Encode()) + TCP/IP overhead.
 func TestWireSizeModel(t *testing.T) {
@@ -61,6 +90,12 @@ func TestWireSizeModel(t *testing.T) {
 		{Dst: 9, Path: []routing.NodeID{1, 9}},
 		{Dst: 9, Path: []routing.NodeID{1, 2, 3, 4, 5, 6, 9}},
 		{Withdrawn: []routing.NodeID{8}, Dst: 9, Path: []routing.NodeID{1, 9}},
+		{Dst: 9, Path: longPath(63)},
+		{Dst: 9, Path: longPath(64)},
+		{Dst: 9, Path: longPath(255)},
+		{Dst: 9, Path: longPath(256)},
+		{Dst: 9, Path: longPath(300)},
+		{Dst: 9, Path: longPath(511)},
 	}
 	for _, u := range cases {
 		if got, want := u.SizeBytes(), len(u.Encode())+TCPIPOverhead; got != want {
